@@ -97,10 +97,8 @@ from repro.core.registry import create_estimator as _registry_create
 from repro.core.registry import display_name, estimator_class
 from repro.engine.batch import (
     DEFAULT_CHUNK_SIZE,
-    KERNEL_MODES,
     BatchEngine,
     BatchResult,
-    resolve_kernels,
     resolve_workers,
 )
 from repro.engine.cache import (
@@ -153,10 +151,6 @@ class ReliabilityService:
         warm-starts from disk.  ``None`` keeps an in-memory LRU only.
     chunk_size / workers:
         Engine defaults for requests that do not override them.
-    kernels:
-        Default sweep kernels (``"python"`` or ``"vectorized"``, see
-        :mod:`repro.engine.kernels`) for served engine runs; a request
-        may override per call.  Bit-identical either way.
 
     Multi-process requests share **one** long-lived
     :class:`~repro.engine.pool.WorkerPool`: the first engine run that
@@ -196,7 +190,6 @@ class ReliabilityService:
         cache_dir: Optional[str] = None,
         chunk_size: Optional[int] = None,
         workers: Optional[int] = None,
-        kernels: Optional[str] = None,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
     ) -> None:
         if not isinstance(graph, UncertainGraph):
@@ -216,12 +209,6 @@ class ReliabilityService:
                 f"chunk_size must be a positive integer, got {chunk_size}"
             )
         self.workers = workers
-        if kernels is not None and kernels not in KERNEL_MODES:
-            raise InvalidQueryError(
-                f"unknown kernel mode {kernels!r}; "
-                f"known: {', '.join(KERNEL_MODES)}"
-            )
-        self.kernels = kernels
         #: The one shared worker pool (lazily built by :meth:`_engine`).
         self._pool: Optional[WorkerPool] = None  # guarded-by: _pool_lock
         self._pool_lock = threading.Lock()
@@ -585,7 +572,6 @@ class ReliabilityService:
         seed: int,
         chunk_size: Optional[int] = None,
         workers: Optional[int] = None,
-        kernels: Optional[str] = None,
     ) -> BatchEngine:
         """An engine over the service's graph sharing the service cache.
 
@@ -610,7 +596,6 @@ class ReliabilityService:
             seed=seed,
             chunk_size=self.chunk_size if chunk_size is None else chunk_size,
             workers=resolved,
-            kernels=self.kernels if kernels is None else kernels,
             pool=pool,
             cache=self._cache,
         )
@@ -726,18 +711,6 @@ class ReliabilityService:
                 "'bfs_sharing', or 'prob_tree'); "
                 f"method {request.method!r} uses the per-query loop"
             )
-        if request.kernels is not None:
-            if request.kernels not in KERNEL_MODES:
-                raise InvalidQueryError(
-                    f"unknown kernel mode {request.kernels!r}; "
-                    f"known: {', '.join(KERNEL_MODES)}"
-                )
-            if not engine_backed:
-                raise InvalidQueryError(
-                    "kernels selects the engine's sweep implementation; "
-                    "it applies only to the engine-backed methods "
-                    "('mc', 'bfs_sharing')"
-                )
         if request.sequential and self.persistent:
             raise InvalidQueryError(
                 "the sequential oracle bypasses the result cache by "
@@ -793,9 +766,7 @@ class ReliabilityService:
                 else request.chunk_size
             )
             self._record_queries(queries, seed)
-            engine = self._engine(
-                seed, chunk_size, request.workers, request.kernels
-            )
+            engine = self._engine(seed, chunk_size, request.workers)
             result = (
                 engine.run_sequential(queries)
                 if request.sequential
@@ -983,11 +954,6 @@ class ReliabilityService:
                 f"got [{request.start}, {request.stop})"
             )
         self._check_positive(request.chunk_size, "chunk_size")
-        if request.kernels is not None and request.kernels not in KERNEL_MODES:
-            raise InvalidQueryError(
-                f"unknown kernel mode {request.kernels!r}; "
-                f"known: {', '.join(KERNEL_MODES)}"
-            )
         queries = self.resolve_queries(
             request.queries, request.samples, request.max_hops
         )
@@ -1004,9 +970,6 @@ class ReliabilityService:
                 else request.chunk_size
             ),
             workers=1,
-            kernels=(
-                self.kernels if request.kernels is None else request.kernels
-            ),
             cache_capacity=1,
         )
         result = engine.run_range(queries, request.start, request.stop)
@@ -1401,7 +1364,6 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "DEFAULT_REWARM_TOP",
     "FAST_BATCH_PATHS",
-    "KERNEL_MODES",
     "QUERY_LOG_CAPACITY",
     "ReliabilityService",
 ]

@@ -39,6 +39,20 @@ def _optional_int(value: Any, name: str) -> Optional[int]:
     return None if value is None else _require_int(value, name)
 
 
+def _require_seed(value: Any) -> int:
+    """Coerce a world-stream seed: numpy seed sequences need ``seed >= 0``."""
+    seed = _require_int(value, "seed")
+    if seed < 0:
+        raise InvalidQueryError(
+            f"seed must be a non-negative integer, got {seed}"
+        )
+    return seed
+
+
+def _optional_seed(value: Any) -> Optional[int]:
+    return None if value is None else _require_seed(value)
+
+
 def _require_mapping(payload: Any, what: str) -> Mapping[str, Any]:
     if not isinstance(payload, Mapping):
         raise InvalidQueryError(
@@ -193,7 +207,7 @@ class EstimateRequest:
             target=_require_int(payload["target"], "target"),
             samples=_require_int(payload.get("samples", 1_000), "samples"),
             method=method,
-            seed=_optional_int(payload.get("seed"), "seed"),
+            seed=_optional_seed(payload.get("seed")),
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -223,12 +237,11 @@ class BatchRequest:
     max_hops: Optional[int] = None
     chunk_size: Optional[int] = None
     workers: Optional[int] = None
-    kernels: Optional[str] = None
     sequential: bool = False
 
     _KEYS = (
         "queries", "method", "samples", "seed", "max_hops",
-        "chunk_size", "workers", "kernels", "sequential",
+        "chunk_size", "workers", "sequential",
     )
 
     @classmethod
@@ -247,20 +260,14 @@ class BatchRequest:
             raise InvalidQueryError(
                 f"sequential must be a boolean, got {sequential!r}"
             )
-        kernels = payload.get("kernels")
-        if kernels is not None and not isinstance(kernels, str):
-            raise InvalidQueryError(
-                f"kernels must be a string, got {kernels!r}"
-            )
         return cls(
             queries=coerce_query_specs(payload["queries"]),
             method=method,
             samples=_require_int(payload.get("samples", 1_000), "samples"),
-            seed=_optional_int(payload.get("seed"), "seed"),
+            seed=_optional_seed(payload.get("seed")),
             max_hops=_optional_int(payload.get("max_hops"), "max_hops"),
             chunk_size=_optional_int(payload.get("chunk_size"), "chunk_size"),
             workers=_optional_int(payload.get("workers"), "workers"),
-            kernels=kernels,
             sequential=sequential,
         )
 
@@ -273,7 +280,6 @@ class BatchRequest:
             "max_hops": self.max_hops,
             "chunk_size": self.chunk_size,
             "workers": self.workers,
-            "kernels": self.kernels,
             "sequential": self.sequential,
         }
 
@@ -307,7 +313,7 @@ class WarmRequest:
         return cls(
             queries=coerce_query_specs(payload["queries"]),
             samples=_require_int(payload.get("samples", 1_000), "samples"),
-            seed=_optional_int(payload.get("seed"), "seed"),
+            seed=_optional_seed(payload.get("seed")),
             max_hops=_optional_int(payload.get("max_hops"), "max_hops"),
             chunk_size=_optional_int(payload.get("chunk_size"), "chunk_size"),
             workers=_optional_int(payload.get("workers"), "workers"),
@@ -342,7 +348,7 @@ class TopKRequest:
             k=_require_int(payload.get("k", 10), "k"),
             samples=_require_int(payload.get("samples", 500), "samples"),
             method=method,
-            seed=_optional_int(payload.get("seed"), "seed"),
+            seed=_optional_seed(payload.get("seed")),
         )
 
 
@@ -473,11 +479,10 @@ class ShardRunRequest:
     samples: int = 1_000
     max_hops: Optional[int] = None
     chunk_size: Optional[int] = None
-    kernels: Optional[str] = None
 
     _KEYS = (
         "queries", "start", "stop", "seed", "fingerprint", "samples",
-        "max_hops", "chunk_size", "kernels",
+        "max_hops", "chunk_size",
     )
 
     @classmethod
@@ -495,21 +500,15 @@ class ShardRunRequest:
                 f"fingerprint must be a non-empty string, "
                 f"got {fingerprint!r}"
             )
-        kernels = payload.get("kernels")
-        if kernels is not None and not isinstance(kernels, str):
-            raise InvalidQueryError(
-                f"kernels must be a string, got {kernels!r}"
-            )
         return cls(
             queries=coerce_query_specs(payload["queries"]),
             start=_require_int(payload["start"], "start"),
             stop=_require_int(payload["stop"], "stop"),
-            seed=_require_int(payload["seed"], "seed"),
+            seed=_require_seed(payload["seed"]),
             fingerprint=fingerprint,
             samples=_require_int(payload.get("samples", 1_000), "samples"),
             max_hops=_optional_int(payload.get("max_hops"), "max_hops"),
             chunk_size=_optional_int(payload.get("chunk_size"), "chunk_size"),
-            kernels=kernels,
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -522,7 +521,6 @@ class ShardRunRequest:
             "samples": self.samples,
             "max_hops": self.max_hops,
             "chunk_size": self.chunk_size,
-            "kernels": self.kernels,
         }
 
 

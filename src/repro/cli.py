@@ -50,7 +50,6 @@ from repro.api.service import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_REWARM_TOP,
     FAST_BATCH_PATHS,
-    KERNEL_MODES,
 )
 from repro.core.registry import PAPER_ESTIMATORS, VARIANCE_SAMPLERS
 from repro.datasets.suite import DATASET_KEYS, SCALES, dataset_table
@@ -141,12 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "'auto' lets the adaptive router pick (default: mc)",
     )
     batch.add_argument(
-        "--kernels", choices=KERNEL_MODES, default=None,
-        help="engine sweep implementation: 'python' (reference loops) or "
-             "'vectorized' (packed uint64 numpy kernels); bit-identical "
-             "results (default: $REPRO_ENGINE_KERNELS or python)",
-    )
-    batch.add_argument(
         "--cache-dir", default=None,
         help="directory holding the persistent result cache; a re-run of "
              "the same workload (same graph, seed, K) is served from the "
@@ -201,11 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument(
         "--workers", type=int, default=None,
         help="default worker processes for served workloads",
-    )
-    serve_cmd.add_argument(
-        "--kernels", choices=KERNEL_MODES, default=None,
-        help="default engine sweep implementation for served workloads "
-             "(default: $REPRO_ENGINE_KERNELS or python)",
     )
     serve_cmd.add_argument(
         "--rewarm-top", type=int, default=DEFAULT_REWARM_TOP,
@@ -471,12 +459,6 @@ def _command_batch(args: argparse.Namespace) -> int:
             "(--method mc, bfs_sharing, or prob_tree); "
             f"--method {args.method} uses the per-query loop"
         )
-    if args.kernels is not None and not engine_backed:
-        raise SystemExit(
-            "repro batch: --kernels selects the engine's sweep "
-            "implementation; it applies only to the engine-backed "
-            "methods (--method mc or bfs_sharing)"
-        )
     if args.cache_dir is not None and not has_fast_path:
         raise SystemExit(
             "repro batch: --cache-dir rides on a batch fast path "
@@ -513,7 +495,6 @@ def _command_batch(args: argparse.Namespace) -> int:
                 max_hops=args.max_hops,
                 chunk_size=args.chunk_size,
                 workers=args.workers,
-                kernels=args.kernels,
                 sequential=args.sequential,
             )
         )
@@ -588,7 +569,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         chunk_size=args.chunk_size,
         workers=args.workers,
-        kernels=args.kernels,
     )
     service_cls = ReliabilityService
     if args.coordinator:

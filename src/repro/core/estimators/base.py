@@ -86,7 +86,6 @@ def run_engine_batch(
     seed: Optional[int] = None,
     chunk_size: Optional[int] = None,
     workers: Optional[int] = None,
-    kernels: Optional[str] = None,
     cache_dir: Optional[str] = None,
 ) -> np.ndarray:
     """Serve a workload through the shared-world batch engine.
@@ -116,7 +115,6 @@ def run_engine_batch(
         seed=seed,
         chunk_size=chunk_size or DEFAULT_CHUNK_SIZE,
         workers=workers,
-        kernels=kernels,
         cache_dir=cache_dir,
     )
     result = engine.run(queries)

@@ -327,7 +327,6 @@ class BFSSharingEstimator(Estimator):
         seed: Optional[int] = None,
         chunk_size: Optional[int] = None,
         workers: Optional[int] = None,
-        kernels: Optional[str] = None,
         cache_dir: Optional[str] = None,
     ) -> np.ndarray:
         """Shared-world fast path: the packed index built from engine chunks.
@@ -338,14 +337,17 @@ class BFSSharingEstimator(Estimator):
         (``O(Km)`` resident memory) and walking it once per query, the
         batch path streams the engine's deterministic world chunks, packs
         each chunk into this module's edge bit-matrix layout
-        (``bitset.pack_bool_matrix``), and runs this module's
+        (``bitset.pack_bool_matrix``), and evaluates this module's
         :func:`shared_reachability_fixpoint` **once per distinct source
-        per chunk** — one pack resolving every (target, world) pair of
-        that source's queries at once, with per-query budgets applied as
-        prefix masks.  That is Algorithms 2-3 at workload granularity:
-        one online traversal now answers all of a source's queries, not
-        just all of one query's worlds, and resident memory stays
-        ``O(chunk_size * m)`` bits however large K grows.
+        per chunk** (with the engine's frontier-bulk kernel,
+        :func:`~repro.engine.kernels.shared_fixpoint_vectorized`, which
+        reaches the same fixpoint bit for bit) — one pack resolving every
+        (target, world) pair of that source's queries at once, with
+        per-query budgets applied as prefix masks.  That is Algorithms
+        2-3 at workload granularity: one online traversal now answers all
+        of a source's queries, not just all of one query's worlds, and
+        resident memory stays ``O(chunk_size * m)`` bits however large K
+        grows.
 
         Because the worlds come from the engine's index-keyed stream, the
         estimates are **bit-identical** to ``mc``'s engine path and to the
@@ -367,7 +369,7 @@ class BFSSharingEstimator(Estimator):
         """
         return run_engine_batch(
             self, queries, seed=seed, chunk_size=chunk_size,
-            workers=workers, kernels=kernels, cache_dir=cache_dir,
+            workers=workers, cache_dir=cache_dir,
         )
 
     def memory_bytes(self) -> int:

@@ -50,7 +50,6 @@ class MonteCarloEstimator(Estimator):
         seed: Optional[int] = None,
         chunk_size: Optional[int] = None,
         workers: Optional[int] = None,
-        kernels: Optional[str] = None,
         cache_dir: Optional[str] = None,
     ) -> np.ndarray:
         """Shared-world fast path via the batch engine (paper §2.2/§3.7).
@@ -66,14 +65,13 @@ class MonteCarloEstimator(Estimator):
 
         Unlike the base fallback, this path also serves hop-bounded
         ``(source, target, samples, max_hops)`` queries (§2.9), accepts
-        ``workers`` for multiprocess chunk evaluation and ``kernels``
-        for the vectorized sweep implementation, and warm-starts from
-        the persistent result cache under ``cache_dir`` — none of which
-        can change an estimate (the engine's determinism contract).
+        ``workers`` for multiprocess chunk evaluation, and warm-starts
+        from the persistent result cache under ``cache_dir`` — neither of
+        which can change an estimate (the engine's determinism contract).
         """
         return run_engine_batch(
             self, queries, seed=seed, chunk_size=chunk_size,
-            workers=workers, kernels=kernels, cache_dir=cache_dir,
+            workers=workers, cache_dir=cache_dir,
         )
 
     def memory_bytes(self) -> int:

@@ -114,7 +114,7 @@ class CoordinatedReliabilityService(ReliabilityService):
         # workers=1 on purpose: this engine plans, serves the cache, and
         # is the local fallback evaluator — the fan-out happens across
         # shards, not local processes.
-        engine = self._engine(seed, chunk_size, 1, request.kernels)
+        engine = self._engine(seed, chunk_size, 1)
         result = self._run_distributed(engine, queries)
         report = self._engine_report("distributed", result, chunk_size)
         rows = self._rows_from_result(result)

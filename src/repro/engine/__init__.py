@@ -11,13 +11,10 @@ results.  See ``docs/architecture.md`` for the design and
 
 from repro.engine.batch import (
     DEFAULT_CHUNK_SIZE,
-    KERNEL_MODES,
-    KERNELS_ENV_VAR,
     WORKERS_ENV_VAR,
     BatchEngine,
     BatchResult,
     estimate_workload,
-    resolve_kernels,
     resolve_workers,
 )
 from repro.engine.cache import (
@@ -39,8 +36,6 @@ from repro.engine.pool import (
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
-    "KERNEL_MODES",
-    "KERNELS_ENV_VAR",
     "POOL_ENV_VAR",
     "WORKERS_ENV_VAR",
     "BatchEngine",
@@ -49,7 +44,6 @@ __all__ = [
     "WorkerPool",
     "estimate_workload",
     "pool_enabled",
-    "resolve_kernels",
     "resolve_workers",
     "shared_pool",
     "PersistentResultCache",

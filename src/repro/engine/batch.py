@@ -33,9 +33,9 @@ BatchQuery` may carry ``max_hops``, in which case its indicator becomes
 "reaches within ``max_hops`` edges".  The planner groups queries by
 ``(source, max_hops)`` and both sweep strategies bound their walk — the
 bitset sweep via the level-synchronous mode of
-:func:`~repro.core.estimators.bfs_sharing.shared_reachability_fixpoint`,
-the per-world sweep via ``reach_targets(max_hops=...)`` — so d-hop and
-plain queries are served from one world stream.
+:func:`~repro.engine.kernels.shared_fixpoint_vectorized`, the per-world
+sweep via ``reach_targets_in_world(max_hops=...)`` — so d-hop and plain
+queries are served from one world stream.
 
 Two sweep strategies implement the same semantics:
 
@@ -43,16 +43,19 @@ Two sweep strategies implement the same semantics:
   uint64 bit-matrix layout of BFS Sharing (§2.3) and one dataflow
   fixpoint per distinct source answers *all* of that source's targets in
   *all* of the chunk's worlds at once
-  (:func:`~repro.core.estimators.bfs_sharing.shared_reachability_fixpoint`);
+  (:func:`~repro.engine.kernels.shared_fixpoint_vectorized`, the
+  frontier-bulk evaluation of BFS Sharing's
+  :func:`~repro.core.estimators.bfs_sharing.shared_reachability_fixpoint`);
 * ``sweep="per_world"`` — one
-  :meth:`~repro.core.possible_world.ReachabilitySampler.reach_targets`
-  call per (world, source): the multi-target generalisation of Alg. 1's
-  fused BFS kernel with early termination.  Slower, but a direct
-  per-world oracle; :meth:`BatchEngine.run_sequential` is built on it.
+  :func:`~repro.engine.kernels.reach_targets_in_world` walk per (world,
+  source): the multi-target generalisation of Alg. 1's fused BFS kernel
+  with early termination.  Slower, but a direct per-world sweep.
 
 Both strategies consume the identical world stream, so they agree exactly
-with each other and with the sequential loop (property-tested in
-``tests/engine/``).
+with each other and with :meth:`BatchEngine.run_sequential`, the oracle,
+which walks every query's worlds with
+:meth:`~repro.core.possible_world.ReachabilitySampler.reach_targets`
+(property-tested in ``tests/engine/``).
 """
 
 from __future__ import annotations
@@ -79,10 +82,7 @@ from repro.engine.cache import (
     result_key,
 )
 from repro.engine.kernels import (
-    KERNEL_MODES,
-    KERNELS_ENV_VAR,
     reach_targets_in_world,
-    resolve_kernels,
     shared_fixpoint_vectorized,
 )
 from repro.engine.plan import BatchQuery, QueryLike, plan_queries
@@ -221,13 +221,6 @@ class BatchEngine:
         (:mod:`repro.engine.parallel`) and the per-query hit counts are
         summed in the parent — bit-identical to the serial sweep by the
         determinism contract.
-    kernels:
-        ``"python"`` (the historical per-node loops) or ``"vectorized"``
-        (the frontier-bulk kernels of :mod:`repro.engine.kernels`).
-        ``None`` reads ``REPRO_ENGINE_KERNELS`` (default ``"python"``).
-        Both kernel sets compute the identical fixpoint, so estimates
-        are bit-identical either way (the kernel conformance suite pins
-        this); the knob is purely a constant-factor lever.
     pool:
         A long-lived :class:`~repro.engine.pool.WorkerPool` to evaluate
         fanned-out chunk ranges on, instead of forking a fresh pool per
@@ -259,7 +252,6 @@ class BatchEngine:
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         sweep: str = "bitset",
         workers: Optional[int] = None,
-        kernels: Optional[str] = None,
         pool=None,
         cache: Optional[ResultCache] = None,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
@@ -276,7 +268,6 @@ class BatchEngine:
             )
         self.sweep = sweep
         self.workers = resolve_workers(workers)
-        self.kernels = resolve_kernels(kernels)
         self.pool = pool
         if cache is None:
             cache = (
@@ -346,11 +337,6 @@ class BatchEngine:
         """
         edge_bits = bitset.pack_bool_matrix(masks)
         words = edge_bits.shape[1]
-        fixpoint = (
-            shared_fixpoint_vectorized
-            if self.kernels == "vectorized"
-            else shared_reachability_fixpoint
-        )
         mask_by_limit: Dict[int, np.ndarray] = {}
 
         def budget_mask(limit: int) -> np.ndarray:
@@ -368,7 +354,7 @@ class BatchEngine:
             live = pending[group.query_indices] & (live_counts > 0)
             if not live.any():
                 continue
-            node_bits, _ = fixpoint(
+            node_bits, _ = shared_fixpoint_vectorized(
                 self.graph, edge_bits, group.source, count,
                 max_hops=group.max_hops,
             )
@@ -392,29 +378,19 @@ class BatchEngine:
         hits: np.ndarray,
     ) -> int:
         """Per-world sweep: one fused-kernel walk per (world, group)."""
-        vectorized = self.kernels == "vectorized"
         sweeps = 0
         for offset in range(count):
             world = chunk_start + offset
-            # The vectorized walk consumes the boolean mask directly; the
-            # python kernel wants the ±1 forced-state encoding.
-            forced = None if vectorized else forced_from_mask(masks[offset])
             for group in groups:
                 if world >= group.k_max:
                     continue
                 live = pending[group.query_indices] & (group.samples > world)
                 if not live.any():
                     continue
-                if vectorized:
-                    reached = reach_targets_in_world(
-                        self.graph, masks[offset], group.source,
-                        group.targets[live], max_hops=group.max_hops,
-                    )
-                else:
-                    reached = self._sampler.reach_targets(
-                        group.source, group.targets[live], forced=forced,
-                        max_hops=group.max_hops,
-                    )
+                reached = reach_targets_in_world(
+                    self.graph, masks[offset], group.source,
+                    group.targets[live], max_hops=group.max_hops,
+                )
                 hits[group.query_indices[live]] += reached
                 sweeps += 1
         return sweeps
@@ -463,8 +439,7 @@ class BatchEngine:
             total += edge_count * words * word_bytes  # packed edge bits
             total += node_count * words * word_bytes  # fixpoint node bits
         else:
-            total += edge_count  # int8 forced-state vector
-            total += node_count * np.dtype(np.int64).itemsize  # visited
+            total += node_count  # boolean visited vector
         return total
 
     # ------------------------------------------------------------------
@@ -724,14 +699,14 @@ def estimate_workload(
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
-    "KERNEL_MODES",
-    "KERNELS_ENV_VAR",
     "SWEEP_MODES",
     "WORKERS_ENV_VAR",
     "BatchResult",
     "RangeResult",
     "BatchEngine",
     "estimate_workload",
-    "resolve_kernels",
     "resolve_workers",
+    # BFS Sharing's own fixpoint: the paper algorithm the engine's
+    # vectorized kernel is pinned against, kept importable from here.
+    "shared_reachability_fixpoint",
 ]

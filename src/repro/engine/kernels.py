@@ -29,42 +29,22 @@ hypothesis-generated graphs.  The one permitted divergence is the
 ``edges_probed`` *instrumentation* of the unbounded fixpoint, which is a
 property of the schedule, not of the answer.
 
-Selection: ``BatchEngine(kernels="vectorized")`` routes both sweep
-strategies through this module; ``kernels=None`` consults the
-``REPRO_ENGINE_KERNELS`` environment variable and falls back to
-``"python"`` (the historical per-node kernels).  Worker processes — the
-per-run fan-out of :mod:`repro.engine.parallel` and the long-lived pool
-of :mod:`repro.engine.pool` — inherit the parent engine's choice.
+These are the engine's only sweep kernels: both sweep strategies of
+:class:`~repro.engine.batch.BatchEngine` — and every worker process of
+:mod:`repro.engine.parallel` and :mod:`repro.engine.pool` — run them.
+The per-node Python fixpoint stays where the paper puts it, in BFS
+Sharing (:mod:`repro.core.estimators.bfs_sharing`), and is the reference
+the conformance suite compares against.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.graph import UncertainGraph
 from repro.util import bitset
-
-#: Kernel implementations accepted by :class:`~repro.engine.batch.BatchEngine`.
-KERNEL_MODES = ("python", "vectorized")
-
-#: Environment variable supplying the default kernel mode; lets CI (and
-#: operators) route an unmodified test suite or workload through the
-#: vectorized sweeps, mirroring ``REPRO_ENGINE_WORKERS``.
-KERNELS_ENV_VAR = "REPRO_ENGINE_KERNELS"
-
-
-def resolve_kernels(kernels: Optional[str]) -> str:
-    """Resolve a ``kernels`` knob: explicit value, else env var, else python."""
-    if kernels is None:
-        kernels = os.environ.get(KERNELS_ENV_VAR, "").strip() or "python"
-    if kernels not in KERNEL_MODES:
-        raise ValueError(
-            f"unknown kernel mode {kernels!r}; known: {', '.join(KERNEL_MODES)}"
-        )
-    return kernels
 
 
 def _scatter_or(
@@ -186,9 +166,6 @@ def reach_targets_in_world(
 
 
 __all__ = [
-    "KERNEL_MODES",
-    "KERNELS_ENV_VAR",
-    "resolve_kernels",
     "shared_fixpoint_vectorized",
     "reach_targets_in_world",
 ]

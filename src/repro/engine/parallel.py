@@ -48,7 +48,6 @@ def _initialise_worker(
     seed: int,
     chunk_size: int,
     sweep: str,
-    kernels: str,
     groups,
     pending: np.ndarray,
     unique_count: int,
@@ -61,7 +60,6 @@ def _initialise_worker(
         seed=seed,
         chunk_size=chunk_size,
         sweep=sweep,
-        kernels=kernels,
         workers=1,  # workers never nest pools
         # The parent owns the real result cache — including any
         # persistent sidecar; workers never open the SQLite file, so the
@@ -104,7 +102,7 @@ def evaluate_chunks_parallel(
         initializer=_initialise_worker,
         initargs=(
             engine.graph, engine.seed, engine.chunk_size, engine.sweep,
-            engine.kernels, groups, pending, unique_count,
+            groups, pending, unique_count,
         ),
     ) as pool:
         futures = [pool.submit(_evaluate_range, task) for task in tasks]

@@ -107,14 +107,13 @@ def _worker_run_state(token: int, blob: bytes):
         from repro.engine.batch import BatchEngine
 
         (
-            seed, chunk_size, sweep, kernels, groups, pending, unique_count,
+            seed, chunk_size, sweep, groups, pending, unique_count,
         ) = pickle.loads(blob)
         engine = BatchEngine(
             _WORKER_GRAPH,
             seed=seed,
             chunk_size=chunk_size,
             sweep=sweep,
-            kernels=kernels,
             workers=1,  # workers never nest pools
             cache_capacity=1,  # the parent owns the real result cache
         )
@@ -252,7 +251,7 @@ class WorkerPool:
             )
         blob = pickle.dumps(
             (
-                engine.seed, engine.chunk_size, engine.sweep, engine.kernels,
+                engine.seed, engine.chunk_size, engine.sweep,
                 groups, pending, unique_count,
             ),
             protocol=pickle.HIGHEST_PROTOCOL,

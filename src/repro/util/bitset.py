@@ -65,16 +65,21 @@ def full_row(bit_count: int) -> np.ndarray:
     return row
 
 
-def _pack_word(draws: np.ndarray) -> np.ndarray:
-    """Pack a ``(rows, bits <= 64)`` boolean block into one word per row.
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Pack a ``(rows, bit_count)`` boolean matrix into ``(rows, words)``.
 
-    Bit ``k`` of the result's row ``i`` is ``draws[i, k]`` — the packing
-    step shared by :func:`sample_bit_matrix` and :func:`pack_bool_matrix`:
-    a sum of ``2^k`` over set bit positions.
+    Bit ``k`` of packed row ``i`` is ``bits[i, k]``.  Rows are zero-padded
+    to whole words, packed eight bits per byte with ``np.packbits``
+    (``bitorder="little"``: bit ``k`` lands in byte ``k // 8`` at position
+    ``k % 8``), and each run of eight bytes is read as one little-endian
+    uint64 — so bit ``k`` is bit ``k % 64`` of word ``k // 64`` on any
+    host byte order.
     """
-    shifts = np.arange(draws.shape[1], dtype=np.uint64)
-    weights = (np.uint64(1) << shifts).astype(np.uint64)
-    return (draws.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+    rows, bit_count = bits.shape
+    padded = np.zeros((rows, packed_words(bit_count) * WORD_BITS), dtype=bool)
+    padded[:, :bit_count] = bits
+    packed = np.packbits(padded, axis=1, bitorder="little")
+    return packed.view("<u8").astype(_WORD_DTYPE, copy=False)
 
 
 def sample_bit_matrix(
@@ -94,7 +99,7 @@ def sample_bit_matrix(
     for word_index in range(words):
         bits_here = min(WORD_BITS, bit_count - word_index * WORD_BITS)
         draws = rng.random((rows, bits_here)) < probabilities[:, None]
-        matrix[:, word_index] = _pack_word(draws)
+        matrix[:, word_index] = _pack_rows(draws)[:, 0]
     return matrix
 
 
@@ -109,13 +114,7 @@ def pack_bool_matrix(masks: np.ndarray) -> np.ndarray:
     """
     if masks.ndim != 2:
         raise ValueError(f"expected 2-D boolean matrix, got shape {masks.shape}")
-    bit_count, rows = masks.shape
-    words = packed_words(bit_count)
-    matrix = np.zeros((rows, words), dtype=_WORD_DTYPE)
-    for word_index in range(words):
-        block = masks[word_index * WORD_BITS : (word_index + 1) * WORD_BITS]
-        matrix[:, word_index] = _pack_word(block.T)
-    return matrix
+    return _pack_rows(masks.T)
 
 
 def prefix_mask(bit_count: int, words: int) -> np.ndarray:

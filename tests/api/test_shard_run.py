@@ -16,7 +16,6 @@ from repro.api import (
     FingerprintMismatchError,
     InvalidQueryError,
     QuerySpec,
-    ReliabilityError,
     ReliabilityService,
     ShardRunRequest,
     ShardRunResponse,
@@ -119,9 +118,11 @@ class TestShardRunRejections:
         with pytest.raises(InvalidQueryError):
             service.shard_run(shard_request(service, 100, 50))
 
-    def test_unknown_kernels_rejected(self, service):
-        with pytest.raises(ReliabilityError):
-            service.shard_run(shard_request(service, 0, 50, kernels="cuda"))
+    def test_removed_kernels_field_rejected(self, service):
+        payload = shard_request(service, 0, 50).to_dict()
+        payload["kernels"] = "vectorized"
+        with pytest.raises(InvalidQueryError, match="'kernels'"):
+            ShardRunRequest.from_dict(payload)
 
 
 class TestShardRunWireTypes:

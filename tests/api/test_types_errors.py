@@ -10,6 +10,8 @@ from repro.api import (
     QuerySpec,
     RecommendRequest,
     ReliabilityError,
+    ShardRunRequest,
+    TopKRequest,
     UnknownEstimatorError,
     WarmRequest,
     coerce_query_specs,
@@ -139,6 +141,35 @@ class TestRequestParsing:
         # JSON true must not silently coerce to samples=1.
         with pytest.raises(InvalidQueryError, match="samples"):
             BatchRequest.from_dict({"queries": [[0, 1]], "samples": True})
+
+    def test_batch_removed_kernels_field_rejected(self):
+        with pytest.raises(InvalidQueryError, match="'kernels'"):
+            BatchRequest.from_dict(
+                {"queries": [[0, 1]], "kernels": "vectorized"}
+            )
+        assert "kernels" not in BatchRequest.from_dict(
+            {"queries": [[0, 1]]}
+        ).to_dict()
+
+    @pytest.mark.parametrize(
+        "request_type,payload",
+        [
+            (EstimateRequest, {"source": 0, "target": 5}),
+            (BatchRequest, {"queries": [[0, 5]]}),
+            (WarmRequest, {"queries": [[0, 5]]}),
+            (TopKRequest, {"source": 0}),
+            (
+                ShardRunRequest,
+                {"queries": [[0, 5]], "start": 0, "stop": 10,
+                 "fingerprint": "any"},
+            ),
+        ],
+    )
+    def test_seed_must_be_non_negative(self, request_type, payload):
+        # Zero is the smallest seed a numpy seed sequence accepts.
+        assert request_type.from_dict({**payload, "seed": 0}).seed == 0
+        with pytest.raises(InvalidQueryError, match="non-negative"):
+            request_type.from_dict({**payload, "seed": -1})
 
     def test_warm_requires_queries(self):
         with pytest.raises(InvalidQueryError, match="'queries'"):

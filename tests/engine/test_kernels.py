@@ -1,14 +1,18 @@
 """Kernel conformance suite: vectorized sweeps vs the reference loops.
 
-The vectorized kernels of :mod:`repro.engine.kernels` claim *bit
-identity* with the per-node Python kernels they replace — the monotone
-fixpoint has one solution whatever the evaluation schedule, and
-reachability in a materialised world is a fact, not an estimate.  This
-suite pins the claim over hypothesis-generated graphs (including
+The vectorized kernels of :mod:`repro.engine.kernels` — the engine's
+only sweep kernels — claim *bit identity* with the per-node Python
+references: BFS Sharing's
+:func:`~repro.core.estimators.bfs_sharing.shared_reachability_fixpoint`
+and the sampler's
+:meth:`~repro.core.possible_world.ReachabilitySampler.reach_targets`.
+The monotone fixpoint has one solution whatever the evaluation schedule,
+and reachability in a materialised world is a fact, not an estimate.
+This suite pins the claim over hypothesis-generated graphs (including
 self-loops, which the graph constructor drops; disconnected nodes; hop
-bounds; and empty worlds where no edge exists), then re-asserts it at
-engine level for both sweep strategies and at service level for every
-engine-backed estimator path.
+bounds; and empty worlds where no edge exists) by calling the reference
+functions directly, then re-asserts it at engine level for both sweep
+strategies against the sequential oracle.
 
 Derandomized like the oracle-conformance suite: a failure is a bug,
 never a coin flip.
@@ -24,10 +28,7 @@ from repro.core.graph import UncertainGraph
 from repro.core.possible_world import ReachabilitySampler, forced_from_mask
 from repro.engine.batch import BatchEngine
 from repro.engine.kernels import (
-    KERNEL_MODES,
-    KERNELS_ENV_VAR,
     reach_targets_in_world,
-    resolve_kernels,
     shared_fixpoint_vectorized,
 )
 from repro.util import bitset
@@ -49,28 +50,6 @@ HOP_BOUNDS = (None, 0, 1, 2, 9)
 def build(parts) -> UncertainGraph:
     node_count, edges = parts
     return UncertainGraph(node_count, edges)
-
-
-class TestResolveKernels:
-    def test_explicit_value_wins(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "python")
-        assert resolve_kernels("vectorized") == "vectorized"
-
-    def test_env_var_supplies_default(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "vectorized")
-        assert resolve_kernels(None) == "vectorized"
-
-    def test_default_is_python(self, monkeypatch):
-        monkeypatch.delenv(KERNELS_ENV_VAR, raising=False)
-        assert resolve_kernels(None) == "python"
-
-    @pytest.mark.parametrize("bogus", ["simd", "PYTHON", ""])
-    def test_unknown_mode_rejected(self, bogus):
-        with pytest.raises(ValueError, match="unknown kernel mode"):
-            resolve_kernels(bogus)
-
-    def test_modes_cover_both_kernels(self):
-        assert KERNEL_MODES == ("python", "vectorized")
 
 
 class TestSharedFixpointConformance:
@@ -170,40 +149,30 @@ def graph():
 
 class TestEngineKernelConformance:
     @pytest.mark.parametrize("sweep", ["bitset", "per_world"])
-    def test_vectorized_equals_python_exactly(self, graph, sweep):
-        python = BatchEngine(
-            graph, seed=5, chunk_size=64, sweep=sweep, kernels="python"
+    def test_sweep_equals_sequential_oracle_exactly(self, graph, sweep):
+        swept = BatchEngine(
+            graph, seed=5, chunk_size=64, sweep=sweep
         ).run(WORKLOAD)
-        vectorized = BatchEngine(
-            graph, seed=5, chunk_size=64, sweep=sweep, kernels="vectorized"
-        ).run(WORKLOAD)
-        np.testing.assert_array_equal(vectorized.estimates, python.estimates)
-        assert vectorized.worlds_sampled == python.worlds_sampled
-        assert vectorized.sweeps == python.sweeps
+        oracle = BatchEngine(graph, seed=5).run_sequential(WORKLOAD)
+        np.testing.assert_array_equal(swept.estimates, oracle.estimates)
 
     def test_vectorized_agrees_with_sequential_oracle(self, graph):
-        vectorized = BatchEngine(
-            graph, seed=9, chunk_size=32, kernels="vectorized"
-        ).run(WORKLOAD)
+        # A chunk size that is not a multiple of 64 leaves a partial
+        # last word in every packed chunk.
+        vectorized = BatchEngine(graph, seed=9, chunk_size=32).run(WORKLOAD)
         oracle = BatchEngine(graph, seed=9).run_sequential(WORKLOAD)
         np.testing.assert_array_equal(vectorized.estimates, oracle.estimates)
 
+    def test_removed_kernels_option_rejected_at_construction(self, graph):
+        # The engine has one kernel: a stale ``kernels=`` must fail
+        # loudly, not be silently ignored.
+        with pytest.raises(TypeError, match="kernels"):
+            BatchEngine(graph, seed=5, kernels="python")
+
     def test_vectorized_parallel_equals_serial(self, graph):
-        serial = BatchEngine(
-            graph, seed=5, chunk_size=64, kernels="vectorized"
-        ).run(WORKLOAD)
+        serial = BatchEngine(graph, seed=5, chunk_size=64).run(WORKLOAD)
         parallel = BatchEngine(
-            graph, seed=5, chunk_size=64, kernels="vectorized", workers=2
+            graph, seed=5, chunk_size=64, workers=2
         ).run(WORKLOAD)
         np.testing.assert_array_equal(serial.estimates, parallel.estimates)
-
-    def test_env_var_routes_engine(self, graph, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "vectorized")
-        engine = BatchEngine(graph, seed=5)
-        assert engine.kernels == "vectorized"
-        monkeypatch.delenv(KERNELS_ENV_VAR)
-        assert BatchEngine(graph, seed=5).kernels == "python"
-
-    def test_unknown_mode_rejected_at_construction(self, graph):
-        with pytest.raises(ValueError, match="unknown kernel mode"):
-            BatchEngine(graph, seed=5, kernels="simd")
+        assert serial.sweeps == parallel.sweeps

@@ -71,13 +71,13 @@ class TestPartitionSumEqualsFullRun:
         np.testing.assert_array_equal(estimates, full.estimates)
         assert sweeps == full.sweeps
 
-    @pytest.mark.parametrize("kernels", ["vectorized", "python"])
-    def test_kernel_modes_agree(self, graph, kernels):
-        full = BatchEngine(graph, seed=5, kernels=kernels).run(WORKLOAD)
+    @pytest.mark.parametrize("sweep", ["bitset", "per_world"])
+    def test_partition_agrees_with_sequential_oracle(self, graph, sweep):
+        oracle = BatchEngine(graph, seed=5).run_sequential(WORKLOAD)
         estimates, _ = merged_estimates(
-            graph, [(0, 100), (100, 400)], kernels=kernels
+            graph, [(0, 100), (100, 333), (333, 400)], sweep=sweep
         )
-        np.testing.assert_array_equal(estimates, full.estimates)
+        np.testing.assert_array_equal(estimates, oracle.estimates)
 
     def test_per_world_sweep_agrees(self, graph):
         full = BatchEngine(graph, seed=5, sweep="per_world").run(WORKLOAD)

@@ -167,13 +167,13 @@ class TestFastPathDeterminism:
 
 
 class TestKernelAndPoolConformance:
-    """PR 6: kernel choice and pooled execution cannot move an estimate.
+    """Kernels and pooled execution cannot move an estimate.
 
-    Every engine-backed estimator path must produce bit-identical
-    estimates whether the sweep runs the per-node Python kernels or the
-    vectorized uint64 kernels, and whether chunks are evaluated
-    in-process or on a shared :class:`~repro.engine.pool.WorkerPool` —
-    the serial python-kernel run is the oracle for both axes.
+    Every engine-backed estimator path runs the vectorized uint64
+    kernels; each must produce estimates bit-identical to the sequential
+    oracle (the per-node Python walk over the same world stream), whether
+    chunks are evaluated in-process or on a shared
+    :class:`~repro.engine.pool.WorkerPool`.
     """
 
     @CONFORMANCE_SETTINGS
@@ -188,19 +188,14 @@ class TestKernelAndPoolConformance:
             (target, source, 300),
             (source, target, 250, 2),  # hop-bounded twin
         ]
-        oracle = BatchEngine(graph, seed=11, kernels="python").run(queries)
-        vectorized = BatchEngine(
-            graph, seed=11, kernels="vectorized"
-        ).run(queries)
-        np.testing.assert_array_equal(
-            vectorized.estimates, oracle.estimates
-        )
+        oracle = BatchEngine(graph, seed=11).run_sequential(queries)
+        for sweep in ("bitset", "per_world"):
+            swept = BatchEngine(graph, seed=11, sweep=sweep).run(queries)
+            np.testing.assert_array_equal(swept.estimates, oracle.estimates)
         for key in ("mc", "bfs_sharing"):
             estimator = create_estimator(key, graph, seed=0)
             np.testing.assert_array_equal(
-                estimator.estimate_batch(
-                    queries, seed=11, kernels="vectorized"
-                ),
+                estimator.estimate_batch(queries, seed=11),
                 oracle.estimates,
             )
 
@@ -210,16 +205,12 @@ class TestKernelAndPoolConformance:
 
         graph = random_graph(seed=19, node_count=10, edge_probability=0.3)
         queries = [(0, 7, 500), (1, 8, 400), (0, 7, 300, 2)]
-        oracle = BatchEngine(graph, seed=11, chunk_size=64).run(queries)
+        oracle = BatchEngine(graph, seed=11).run_sequential(queries)
         with WorkerPool(graph, workers=2) as pool:
-            for kernels in ("python", "vectorized"):
-                pooled = BatchEngine(
-                    graph, seed=11, chunk_size=64, workers=2,
-                    pool=pool, kernels=kernels,
-                ).run(queries)
-                np.testing.assert_array_equal(
-                    pooled.estimates, oracle.estimates
-                )
+            pooled = BatchEngine(
+                graph, seed=11, chunk_size=64, workers=2, pool=pool,
+            ).run(queries)
+        np.testing.assert_array_equal(pooled.estimates, oracle.estimates)
 
 
 class TestEngineConformance:
@@ -380,15 +371,9 @@ class TestUpdateConformance:
         mutated = _apply_script(graph, script)
         source, target = 0, graph.node_count - 1
         queries = [(source, target, 400), (target, source, 300)]
-        serial = BatchEngine(
-            mutated, seed=11, kernels="python"
-        ).run(queries)
-        vectorized = BatchEngine(
-            mutated, seed=11, kernels="vectorized"
-        ).run(queries)
-        np.testing.assert_array_equal(
-            vectorized.estimates, serial.estimates
-        )
+        oracle = BatchEngine(mutated, seed=11).run_sequential(queries)
+        swept = BatchEngine(mutated, seed=11).run(queries)
+        np.testing.assert_array_equal(swept.estimates, oracle.estimates)
 
     @settings(
         max_examples=6,

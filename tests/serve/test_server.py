@@ -205,6 +205,29 @@ class TestMalformedRequests:
         assert status == 400
         assert "'source' and 'target'" in payload["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "path,body",
+        [
+            ("/v1/estimate", {"source": 0, "target": 5, "samples": 50}),
+            ("/v1/batch", {"queries": [[0, 5, 50]]}),
+            ("/v1/warm", {"queries": [[0, 5, 50]]}),
+            ("/v1/topk", {"source": 0, "k": 3, "samples": 50}),
+            # Bounds are deterministic and carry no seed: any seed is an
+            # unknown key, rejected the same structured way.
+            ("/v1/bounds", {"source": 0, "target": 5}),
+            (
+                "/v1/shard/run",
+                {"queries": [[0, 5, 50]], "start": 0, "stop": 50,
+                 "fingerprint": "any"},
+            ),
+        ],
+    )
+    def test_negative_seed_is_structured_400(self, server, path, body):
+        status, payload = post(server, path, {**body, "seed": -1})
+        assert status == 400
+        assert payload["error"]["type"] == "InvalidQueryError"
+        assert "seed" in payload["error"]["message"]
+
 
 class TestConcurrentClients:
     def test_concurrent_batches_bit_identical_to_the_cli(

@@ -155,6 +155,15 @@ class TestBatch:
         for row in report["results"]:
             assert 0.0 <= row["estimate"] <= 1.0
 
+    def test_removed_kernels_flag_rejected(self, capsys, tmp_path):
+        path = self._write_queries(tmp_path, "0 5 100\n")
+        with pytest.raises(SystemExit):
+            main(
+                ["batch", "--queries", path, "--dataset", "lastfm",
+                 "--scale", "tiny", "--kernels", "vectorized"]
+            )
+        assert "--kernels" in capsys.readouterr().err
+
     def test_json_workload(self, capsys, tmp_path):
         path = self._write_queries(
             tmp_path,

@@ -2,10 +2,51 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.util import bitset
+
+
+def reference_pack_word(draws: np.ndarray) -> np.ndarray:
+    """Shift-and-sum packing of a ``(rows, bits <= 64)`` boolean block.
+
+    The original word packer, kept as the reference the ``np.packbits``
+    packing is property-tested against: bit ``k`` of row ``i`` is
+    ``draws[i, k]``, built as a sum of ``2^k`` over set positions.
+    """
+    shifts = np.arange(draws.shape[1], dtype=np.uint64)
+    weights = (np.uint64(1) << shifts).astype(np.uint64)
+    return (draws.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+
+
+def reference_pack_bool_matrix(masks: np.ndarray) -> np.ndarray:
+    bit_count, rows = masks.shape
+    matrix = np.zeros((rows, bitset.packed_words(bit_count)), dtype=np.uint64)
+    for word in range(matrix.shape[1]):
+        block = masks[word * bitset.WORD_BITS : (word + 1) * bitset.WORD_BITS]
+        matrix[:, word] = reference_pack_word(block.T)
+    return matrix
+
+
+def reference_sample_bit_matrix(probabilities, bit_count, rng):
+    rows = probabilities.shape[0]
+    matrix = np.zeros((rows, bitset.packed_words(bit_count)), dtype=np.uint64)
+    for word in range(matrix.shape[1]):
+        bits_here = min(bitset.WORD_BITS, bit_count - word * bitset.WORD_BITS)
+        draws = rng.random((rows, bits_here)) < probabilities[:, None]
+        matrix[:, word] = reference_pack_word(draws)
+    return matrix
+
+
+#: Word-boundary bit counts every packing property must also hold at.
+PACKING_EDGE_BITS = (0, 1, 7, 8, 63, 64, 65, 232, 256)
+
+
+def with_packing_edges(test):
+    for bits in PACKING_EDGE_BITS:
+        test = example(bit_count=bits, rows=5, seed=bits)(test)
+    return test
 
 
 class TestPackedWords:
@@ -142,6 +183,43 @@ class TestPackBoolMatrix:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             bitset.pack_bool_matrix(np.zeros(4, dtype=bool))
+
+
+class TestPackingMatchesReference:
+    """``np.packbits`` packing vs the shift-and-sum reference, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @with_packing_edges
+    @given(
+        bit_count=st.integers(0, 200),
+        rows=st.integers(0, 9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_pack_bool_matrix(self, bit_count, rows, seed):
+        rng = np.random.default_rng(seed)
+        masks = rng.random((bit_count, rows)) < rng.random()
+        packed = bitset.pack_bool_matrix(masks)
+        expected = reference_pack_bool_matrix(masks)
+        assert packed.dtype == expected.dtype == np.uint64
+        np.testing.assert_array_equal(packed, expected)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @with_packing_edges
+    @given(
+        bit_count=st.integers(0, 200),
+        rows=st.integers(0, 9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_sample_bit_matrix(self, bit_count, rows, seed):
+        probabilities = np.random.default_rng(seed).random(rows)
+        sampled = bitset.sample_bit_matrix(
+            probabilities, bit_count, np.random.default_rng(seed + 1)
+        )
+        expected = reference_sample_bit_matrix(
+            probabilities, bit_count, np.random.default_rng(seed + 1)
+        )
+        assert sampled.dtype == expected.dtype == np.uint64
+        np.testing.assert_array_equal(sampled, expected)
 
 
 class TestPrefixMask:
